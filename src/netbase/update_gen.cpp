@@ -1,6 +1,7 @@
 #include "netbase/update_gen.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -39,7 +40,29 @@ std::vector<RouteUpdate> UpdateStreamGenerator::generate(
   const double weights[3] = {config_.withdraw_weight,
                              config_.announce_new_weight,
                              config_.reannounce_weight};
+  const auto hops = config_.profile.next_hop_count;
+  // Whether any operation with positive weight can still add an update.
+  // Only asked after a draw added none, and it neither draws nor moves the
+  // pool cursor, so streams that finish are unchanged by it.
+  const auto can_progress = [&] {
+    if (weights[0] > 0.0 && !installed.empty()) return true;  // withdraw
+    const auto pool = fresh_pool.routes();
+    if (weights[1] > 0.0 &&
+        std::any_of(pool.begin() + static_cast<std::ptrdiff_t>(fresh_cursor),
+                    pool.end(), [&](const Route& route) {
+                      return !is_installed(route.prefix);
+                    })) {
+      return true;  // announce a fresh prefix
+    }
+    // Re-announce; with one next hop it can only move a route onto hop 0.
+    return weights[2] > 0.0 &&
+           std::any_of(installed.begin(), installed.end(),
+                       [hops](const Route& route) {
+                         return hops > 1 || route.next_hop != 0;
+                       });
+  };
   while (stream.size() < config_.update_count) {
+    const std::size_t before = stream.size();
     switch (rng.next_weighted(weights, 3)) {
       case 0: {  // withdraw
         if (installed.empty()) break;
@@ -66,7 +89,6 @@ std::vector<RouteUpdate> UpdateStreamGenerator::generate(
         if (installed.empty()) break;
         const std::size_t i = rng.next_below(installed.size());
         Route route = installed[i];
-        const auto hops = config_.profile.next_hop_count;
         route.next_hop = static_cast<NextHop>(
             (route.next_hop + 1 + rng.next_below(std::max<NextHop>(
                                       1, static_cast<NextHop>(hops - 1)))) %
@@ -79,6 +101,13 @@ std::vector<RouteUpdate> UpdateStreamGenerator::generate(
       default:
         break;
     }
+    VR_REQUIRE(stream.size() > before || can_progress(),
+               "update stream stalled after " +
+                   std::to_string(stream.size()) + " of " +
+                   std::to_string(config_.update_count) +
+                   " updates: no operation in the mix can make progress "
+                   "(fresh-prefix pool exhausted, installed set drained, "
+                   "or re-announce with a single next hop)");
   }
   return stream;
 }

@@ -1,10 +1,13 @@
 #include "trie/flat_multibit_trie.hpp"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/error.hpp"
 #include "obs/registry.hpp"
 #include "trie/prefetch.hpp"
+#include "trie/updatable_trie.hpp"
 
 namespace vr::trie {
 
@@ -156,6 +159,97 @@ FlatMultibitTrie::FlatMultibitTrie(const MultibitTrie& trie)
     }
   }
   level_count_ = trie.level_count();
+}
+
+/// Emits a single-VN image node by node in depth-first order: a node is
+/// either copied from the previous image or, when touched or new, refilled
+/// from the control plane's stride window. Only nodes reachable in the new
+/// image are emitted, so dropped subtrees leave no holes.
+struct FlatMultibitTrie::Patcher {
+  const FlatMultibitTrie* previous;  // null when building from scratch
+  std::vector<std::uint8_t> touched;  // per node of *previous
+  const UpdatableTrie& control;
+  FlatMultibitTrie& out;
+
+  /// Emits the node at `level` on `path`; `from` is its index in the
+  /// previous image, kNullNode when it has none.
+  NodeIndex emit(NodeIndex from, unsigned level, std::uint32_t path) {
+    const std::size_t width = out.width_;
+    const NodeIndex index =
+        checked_node_index(out.node_count(), "flat multibit trie");
+    const std::size_t row = static_cast<std::size_t>(index) * width;
+    out.children_.resize(row + width, kNullNode);
+    out.level_count_ = std::max(out.level_count_, std::size_t{level} + 1);
+    const unsigned child_shift = 32u - (level + 1) * out.stride_;
+    const auto emit_child = [&](std::size_t slot, NodeIndex child_from) {
+      // narrow-ok: slot < 2^stride <= 256
+      const auto slot_bits = static_cast<std::uint32_t>(slot);
+      const NodeIndex child =
+          emit(child_from, level + 1, path | (slot_bits << child_shift));
+      out.children_[row + slot] = child;
+    };
+
+    if (from != kNullNode && touched[from] == 0) {
+      const auto hops = previous->next_hops_.begin() +
+                        static_cast<std::ptrdiff_t>(from) *
+                            static_cast<std::ptrdiff_t>(width);
+      out.next_hops_.insert(out.next_hops_.end(), hops,
+                            hops + static_cast<std::ptrdiff_t>(width));
+      // Child pointers are sparse; a tight search skips the null runs.
+      const NodeIndex* const first =
+          previous->children_.data() + static_cast<std::size_t>(from) * width;
+      const NodeIndex* const last = first + width;
+      const auto is_child = [](NodeIndex c) { return c != kNullNode; };
+      for (const NodeIndex* kid = std::find_if(first, last, is_child);
+           kid != last; kid = std::find_if(kid + 1, last, is_child)) {
+        emit_child(static_cast<std::size_t>(kid - first), *kid);
+      }
+      return index;
+    }
+    out.next_hops_.resize(row + width);
+    std::array<bool, 256> has_child{};  // width <= 2^8
+    control.expand_window(
+        path, level * out.stride_, out.stride_,
+        std::span<net::NextHop>(out.next_hops_).subspan(row, width),
+        std::span<bool>(has_child).first(width));
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      if (has_child[slot]) {
+        emit_child(slot, from == kNullNode ? kNullNode
+                                           : previous->child(from, slot));
+      }
+    }
+    return index;
+  }
+};
+
+FlatMultibitTrie::FlatMultibitTrie(const UpdatableTrie& control,
+                                   unsigned stride)
+    : FlatMultibitTrie(stride, 1) {
+  Patcher patcher{nullptr, {}, control, *this};
+  patcher.emit(kNullNode, 0, 0);
+}
+
+FlatMultibitTrie FlatMultibitTrie::patched(
+    const UpdatableTrie& control, std::span<const NodeKey> touched) const {
+  VR_REQUIRE(vn_count_ == 1, "only single-VN images can be patched");
+  FlatMultibitTrie next(stride_, 1);
+  next.children_.reserve(children_.size());
+  next.next_hops_.reserve(next_hops_.size());
+  Patcher patcher{this, std::vector<std::uint8_t>(node_count(), 0), control,
+                  next};
+  for (const NodeKey& key : touched) {
+    VR_REQUIRE(key.level < max_level_count(), "node key below the image");
+    NodeIndex node = 0;
+    for (std::size_t level = 0; level < key.level && node != kNullNode;
+         ++level) {
+      node = child(node, slot_of(key.path, level));
+    }
+    // A key with no node here names one the batch created: its parent
+    // was touched too and fills it from scratch.
+    if (node != kNullNode) patcher.touched[node] = 1;
+  }
+  patcher.emit(0, 0, 0);
+  return next;
 }
 
 net::NextHop FlatMultibitTrie::lookup_raw(std::uint32_t addr,

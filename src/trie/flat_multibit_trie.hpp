@@ -16,6 +16,10 @@
 // Like FlatTrie, one image can serve K virtual networks (the VM merged
 // scheme): entries carry a K-wide next-hop vector indexed by VNID, and a
 // node exists wherever *any* VN's own multibit trie has one.
+//
+// A single-VN image can also follow an UpdatableTrie through route
+// updates: patched() makes the next image from the previous one, refilling
+// only the nodes an update batch touched (see trie/snapshot_publisher.hpp).
 #pragma once
 
 #include <cstdint>
@@ -30,8 +34,18 @@
 
 namespace vr::trie {
 
+class UpdatableTrie;
+
 class FlatMultibitTrie {
  public:
+  /// Names a node of a single-VN image by where it sits: at `level`, on
+  /// the path given by the leading level * stride bits of `path` (the
+  /// remaining bits are ignored).
+  struct NodeKey {
+    std::uint32_t path = 0;
+    std::size_t level = 0;
+  };
+
   /// Builds a single-VN stride-k image straight from a routing table
   /// (k in {2, 4, 8}; stride 1 is FlatTrie's domain).
   FlatMultibitTrie(const net::RoutingTable& table, unsigned stride);
@@ -43,6 +57,22 @@ class FlatMultibitTrie {
   /// table of virtual network v. All pointers non-null, K >= 1.
   FlatMultibitTrie(std::span<const net::RoutingTable* const> tables,
                    unsigned stride);
+
+  /// Builds the single-VN stride-k image of `control`'s routes, node by
+  /// node from its stride windows (UpdatableTrie::expand_window). Answers
+  /// every lookup as FlatMultibitTrie(control.to_table(), stride) does and
+  /// has the same node, level and entry counts.
+  FlatMultibitTrie(const UpdatableTrie& control, unsigned stride);
+
+  /// The image of `control` made from this one, which must be single-VN
+  /// and have matched `control` before some updates. Nodes named in
+  /// `touched` are refilled from `control`'s stride windows, as are nodes
+  /// `control` newly needs under them; nodes it no longer needs are
+  /// dropped; every other node is copied as is. The result equals
+  /// FlatMultibitTrie(control, stride()) as long as `touched` names every node
+  /// whose window the updates changed. This image is left untouched.
+  [[nodiscard]] FlatMultibitTrie patched(
+      const UpdatableTrie& control, std::span<const NodeKey> touched) const;
 
   [[nodiscard]] unsigned stride() const noexcept { return stride_; }
   /// Entries per node (2^stride).
@@ -110,6 +140,7 @@ class FlatMultibitTrie {
 
  private:
   struct Builder;
+  struct Patcher;
 
   FlatMultibitTrie(unsigned stride, std::size_t vn_count);
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
@@ -26,12 +27,35 @@ struct PublishMetrics {
   }
 };
 
+/// Appends the image nodes whose stride window an update of `prefix` with
+/// write cost `cost` changed. A route of length L lives in the node at level
+/// ceil(L / stride) - 1 on its path (the default route in the root). When
+/// the update created or removed trie nodes, the shallowest node whose
+/// children changed sits at depth L - (created + removed); every image node
+/// from the one whose window reaches that depth down to the route's own is
+/// touched. Deeper nodes that appear or vanish are handled by their
+/// touched parents.
+void add_touched_nodes(const net::Prefix& prefix, const UpdateCost& cost,
+                       unsigned stride,
+                       std::vector<FlatMultibitTrie::NodeKey>& touched) {
+  if (cost.words_written == 0) return;  // no-op update
+  const std::size_t length = prefix.length();
+  const auto level_of = [stride](std::size_t depth) -> std::size_t {
+    return depth == 0 ? 0 : (depth - 1) / stride;
+  };
+  const std::size_t first =
+      level_of(length - cost.nodes_created - cost.nodes_removed);
+  for (std::size_t level = first; level <= level_of(length); ++level) {
+    touched.push_back({prefix.address().value(), level});
+  }
+}
+
 }  // namespace
 
 SnapshotPublisher::SnapshotPublisher(const net::RoutingTable& base,
                                      unsigned stride)
     : stride_(stride), control_(base) {
-  publish(std::make_shared<const FlatMultibitTrie>(base, stride_), 0);
+  publish(std::make_shared<const FlatMultibitTrie>(control_, stride_), 0);
 }
 
 void SnapshotPublisher::publish(
@@ -50,14 +74,17 @@ SnapshotPublisher::PublishReceipt SnapshotPublisher::apply_batch(
   receipt.updates_applied = updates.size();
 
   const auto apply_start = std::chrono::steady_clock::now();
+  touched_.clear();
   for (const net::RouteUpdate& update : updates) {
-    receipt.cost += control_.apply(update);
+    const UpdateCost cost = control_.apply(update);
+    add_touched_nodes(update.route.prefix, cost, stride_, touched_);
+    receipt.cost += cost;
   }
   receipt.apply_ns = obs::since(apply_start);
 
   const auto build_start = std::chrono::steady_clock::now();
-  auto image = std::make_shared<const FlatMultibitTrie>(control_.to_table(),
-                                                        stride_);
+  auto image = std::make_shared<const FlatMultibitTrie>(
+      acquire().image->patched(control_, touched_));
   receipt.build_ns = obs::since(build_start);
 
   const auto publish_start = std::chrono::steady_clock::now();

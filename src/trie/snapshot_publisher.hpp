@@ -4,12 +4,21 @@
 // writing routes while the data plane keeps forwarding. This publisher
 // realizes the software analogue of that split with RCU-style snapshots:
 // a single writer owns an UpdatableTrie (the control-plane state), applies
-// BGP-churn batches to it, rebuilds an immutable FlatMultibitTrie image
-// and atomically publishes it. Readers acquire() a shared_ptr snapshot and
-// run lookups against a frozen image — never blocked by the writer, never
-// observing a half-applied batch. Retired images are reclaimed by the last
-// shared_ptr release (deferred reclamation), so a reader mid-batch keeps
-// its epoch alive for free.
+// BGP-churn batches to it, patches the previous immutable FlatMultibitTrie
+// image into a new one and atomically publishes it. Readers acquire() a
+// shared_ptr snapshot and run lookups against a frozen image — never
+// blocked by the writer, never observing a half-applied batch. Retired
+// images are reclaimed by the last shared_ptr release (deferred
+// reclamation), so a reader mid-batch keeps its epoch alive for free.
+//
+// Patching follows the paper's reference [6] (on-the-fly incremental
+// updates): an update rewrites one trie path, so the new image copies the
+// previous one and refills only the stride nodes the batch touched — the
+// node holding each updated route and, where an update created or removed
+// trie nodes, the ancestors whose child pointers that changes (see
+// FlatMultibitTrie::patched). The cost is one copying pass over the image
+// plus one window walk (at most 2^(stride+1) - 1 trie nodes) per touched
+// node; nothing re-sorts or re-expands the whole table.
 //
 // Staleness is observable: every published image carries a monotonically
 // increasing version, and staleness_of() reports how many batches a held
@@ -22,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <vector>
 
 #include "common/units.hpp"
 #include "netbase/route_update.hpp"
@@ -46,7 +56,10 @@ class SnapshotPublisher {
     std::size_t updates_applied = 0;
     UpdateCost cost;                   ///< control-plane write accounting
     units::Nanoseconds apply_ns{0.0};  ///< control-plane update time
-    units::Nanoseconds build_ns{0.0};  ///< flat-image rebuild time
+    /// New-image time: copying the previous image and refilling the
+    /// stride nodes the batch touched (grows with touched nodes, plus one
+    /// pass over the image).
+    units::Nanoseconds build_ns{0.0};
     units::Nanoseconds publish_ns{0.0};  ///< pointer-swap time
   };
 
@@ -57,7 +70,7 @@ class SnapshotPublisher {
   SnapshotPublisher(const SnapshotPublisher&) = delete;
   SnapshotPublisher& operator=(const SnapshotPublisher&) = delete;
 
-  /// Applies one churn batch to the control plane, rebuilds the image and
+  /// Applies one churn batch to the control plane, patches the image and
   /// publishes it as the next version. Single writer only: concurrent
   /// apply_batch calls are a caller bug.
   PublishReceipt apply_batch(std::span<const net::RouteUpdate> updates);
@@ -89,6 +102,8 @@ class SnapshotPublisher {
 
   unsigned stride_;
   UpdatableTrie control_;  // writer-owned control-plane state
+  // Writer-owned: the image nodes the current batch touched.
+  std::vector<FlatMultibitTrie::NodeKey> touched_;
 
   mutable std::mutex publish_mutex_;  // also orders version_ stores
   // guarded_by(publish_mutex_)

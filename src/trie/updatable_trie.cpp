@@ -1,6 +1,7 @@
 #include "trie/updatable_trie.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -85,34 +86,34 @@ UpdateCost UpdatableTrie::do_announce(const net::Route& route) {
 
 UpdateCost UpdatableTrie::do_withdraw(const net::Prefix& prefix) {
   UpdateCost cost;
-  // Walk down recording the path.
-  std::vector<NodeIndex> path{0};
-  NodeIndex current = 0;
+  // Walk down recording the path: path[d] is the node at depth d (the
+  // root, index 0, at depth 0).
+  std::array<NodeIndex, 33> path{};
   for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-    const Node& node = nodes_[current];
+    const Node& node = nodes_[path[depth]];
     const NodeIndex child = prefix.bit(depth) ? node.right : node.left;
     if (child == kNullNode) return cost;  // prefix not present: no-op
-    current = child;
-    path.push_back(current);
+    path[depth + 1] = child;
   }
-  if (nodes_[current].next_hop == net::kNoRoute) return cost;  // no route
-  nodes_[current].next_hop = net::kNoRoute;
+  const NodeIndex target = path[prefix.length()];
+  if (nodes_[target].next_hop == net::kNoRoute) return cost;  // no route
+  nodes_[target].next_hop = net::kNoRoute;
   --route_count_;
   ++cost.words_written;
   cost.max_depth_touched = prefix.length();
 
   // Prune now-useless leaves (no route, no children) bottom-up.
-  for (std::size_t i = path.size(); i-- > 1;) {
-    const NodeIndex index = path[i];
+  for (unsigned depth = prefix.length(); depth > 0; --depth) {
+    const NodeIndex index = path[depth];
     const Node& node = nodes_[index];
     if (!node.is_leaf() || node.next_hop != net::kNoRoute) break;
-    const NodeIndex parent = path[i - 1];
+    const NodeIndex parent = path[depth - 1];
     if (nodes_[parent].left == index) {
       nodes_[parent].left = kNullNode;
     } else {
       nodes_[parent].right = kNullNode;
     }
-    release(index, static_cast<unsigned>(i));
+    release(index, depth);
     ++cost.nodes_removed;
     ++cost.words_written;  // parent pointer word rewrite
   }
@@ -132,6 +133,48 @@ std::optional<net::NextHop> UpdatableTrie::lookup(net::Ipv4 addr) const {
     current = child;
   }
   return best;
+}
+
+void UpdatableTrie::expand_window(std::uint32_t path, unsigned depth,
+                                  unsigned stride,
+                                  std::span<net::NextHop> next_hops,
+                                  std::span<bool> has_child) const {
+  const std::size_t width = std::size_t{1} << stride;
+  VR_REQUIRE(stride >= 1 && depth + stride <= 32 &&
+                 next_hops.size() == width && has_child.size() == width,
+             "stride window out of range");
+  NodeIndex top = 0;
+  for (unsigned d = 0; d < depth; ++d) {
+    top = bit_at(path, d) ? nodes_[top].right : nodes_[top].left;
+    VR_REQUIRE(top != kNullNode, "stride window under a missing trie node");
+  }
+  // Depth-first over the window; `slot` holds the k bits consumed so far
+  // and `best` the deepest route seen on the way down.
+  const auto expand = [&](const auto& self, NodeIndex index, unsigned k,
+                          std::size_t slot, net::NextHop best) -> void {
+    const Node& node = nodes_[index];
+    if (node.next_hop != net::kNoRoute && (k > 0 || depth == 0)) {
+      best = node.next_hop;
+    }
+    if (k == stride) {
+      next_hops[slot] = best;
+      has_child[slot] = !node.is_leaf();
+      return;
+    }
+    for (const std::size_t bit : {0u, 1u}) {
+      const NodeIndex child = bit == 0 ? node.left : node.right;
+      const std::size_t sub = slot * 2 + bit;
+      if (child != kNullNode) {
+        self(self, child, k + 1, sub, best);
+        continue;
+      }
+      // No node below: the whole sub-range inherits `best`.
+      const std::size_t span = std::size_t{1} << (stride - k - 1);
+      std::ranges::fill(next_hops.subspan(sub * span, span), best);
+      std::ranges::fill(has_child.subspan(sub * span, span), false);
+    }
+  };
+  expand(expand, top, 0, 0, net::kNoRoute);
 }
 
 net::RoutingTable UpdatableTrie::to_table() const {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netbase/route_update.hpp"
@@ -75,6 +76,19 @@ class UpdatableTrie {
       noexcept {
     return nodes_per_depth_;
   }
+
+  /// Controlled prefix expansion of one stride window: what the stride-k
+  /// image node rooted at `depth` on `path` (its leading `depth` bits)
+  /// holds. For each of the 2^stride slots s, `next_hops[s]` receives the
+  /// route of the deepest node on path·s at depths (depth, depth + stride]
+  /// — or at depth 0 itself, the default route's home — else kNoRoute;
+  /// `has_child[s]` says whether the node at depth + stride on path·s has
+  /// children, i.e. whether the image needs a child node under slot s.
+  /// Read-only; visits at most 2^(stride+1) - 1 nodes. The node at `depth`
+  /// on `path` must exist.
+  void expand_window(std::uint32_t path, unsigned depth, unsigned stride,
+                     std::span<net::NextHop> next_hops,
+                     std::span<bool> has_child) const;
 
   /// Exports the current routes as a table (sorted).
   [[nodiscard]] net::RoutingTable to_table() const;

@@ -215,6 +215,57 @@ TEST(UpdateStreamGenTest, MixFollowsWeights) {
   }
 }
 
+// Streams are part of every seeded experiment's input: pin their bytes.
+TEST(UpdateStreamGenTest, StreamsArePinned) {
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    net::UpdateStreamConfig config;
+    config.update_count = 500;
+    const net::UpdateStreamGenerator gen(config);
+    for (const RouteUpdate& update :
+         gen.generate(gen_table(seed, 300), seed + 10)) {
+      mix(static_cast<std::uint64_t>(update.kind));
+      mix(update.route.prefix.address().value());
+      mix(update.route.prefix.length());
+      mix(update.route.next_hop);
+    }
+  }
+  EXPECT_EQ(hash, 0x111adcf191f98f76ull);
+}
+
+// A mix that can no longer add an update fails loudly instead of spinning.
+TEST(UpdateStreamGenTest, ExhaustedPoolAndDrainedTableStall) {
+  const RoutingTable base = gen_table(10, 20);
+  net::UpdateStreamConfig config;
+  config.update_count = 1000;  // far beyond 20 routes + a 10-prefix pool
+  config.withdraw_weight = 1.0;
+  config.announce_new_weight = 1.0;
+  config.reannounce_weight = 0.0;
+  config.profile.prefix_count = 10;
+  const net::UpdateStreamGenerator gen(config);
+  EXPECT_DEATH((void)gen.generate(base, 4), "stalled");
+}
+
+TEST(UpdateStreamGenTest, ReannounceWithOneNextHopStalls) {
+  net::UpdateStreamConfig config;
+  config.update_count = 10;
+  config.withdraw_weight = 0.0;
+  config.announce_new_weight = 0.0;
+  config.reannounce_weight = 1.0;
+  config.profile.prefix_count = 50;
+  config.profile.next_hop_count = 1;
+  const RoutingTable base =
+      net::SyntheticTableGenerator(config.profile).generate(11);
+  const net::UpdateStreamGenerator gen(config);
+  EXPECT_DEATH((void)gen.generate(base, 5), "stalled");
+}
+
 // --------------------------------------------------- UpdatableMergedTrie --
 
 class MergedUpdateFixture : public ::testing::Test {
