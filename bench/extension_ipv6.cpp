@@ -11,6 +11,7 @@
 #include "ipv6/ipv6_trie.hpp"
 #include "netbase/table_gen.hpp"
 #include "trie/memory_layout.hpp"
+#include "trie/trie_stats.hpp"
 
 namespace {
 
@@ -75,8 +76,8 @@ int main() {
   ipv6::TableProfile6 profile6;
   const ipv6::SyntheticTableGenerator6 gen6(profile6);
   const ipv6::RoutingTable6 table6 = gen6.generate(1);
-  const ipv6::UnibitTrie6 trie6 = ipv6::UnibitTrie6(table6).leaf_pushed();
-  const trie::TrieStats stats6 = trie6.stats();
+  const trie::UnibitTrie trie6 = trie::UnibitTrie(table6).leaf_pushed();
+  const trie::TrieStats stats6 = trie::compute_stats(trie6);
   std::vector<std::uint64_t> bits6;
   for (std::size_t l = 0; l < stats6.nodes_per_level.size(); ++l) {
     bits6.push_back(stats6.internal_per_level[l] * enc.internal_word_bits() +

@@ -13,7 +13,7 @@
 #include "netbase/update_gen.hpp"
 #include "pipeline/router.hpp"
 #include "tcam/tcam.hpp"
-#include "trie/multibit_trie.hpp"
+#include "trie/flat_multibit_trie.hpp"
 #include "trie/updatable_trie.hpp"
 #include "virt/merged_trie.hpp"
 #include "virt/table_set_gen.hpp"
@@ -112,8 +112,8 @@ void BM_PipelineSimulation(benchmark::State& state) {
 BENCHMARK(BM_PipelineSimulation);
 
 void BM_MultibitLookup(benchmark::State& state) {
-  const trie::MultibitTrie trie(edge_table(),
-                                static_cast<unsigned>(state.range(0)));
+  const trie::FlatMultibitTrie trie(edge_table(),
+                                    static_cast<unsigned>(state.range(0)));
   Rng rng(19);
   std::vector<net::Ipv4> addrs;
   for (int i = 0; i < 4096; ++i) {

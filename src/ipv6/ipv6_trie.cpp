@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "trie/trie_stats.hpp"
 
 namespace vr::ipv6 {
 
@@ -27,134 +26,19 @@ Ipv6 or_shifted(const Ipv6& base, std::uint64_t value, unsigned shift) {
 
 }  // namespace
 
-UnibitTrie6::UnibitTrie6(const RoutingTable6& table) {
-  nodes_.push_back(trie::TrieNode{});
-  for (const Route6& route : table.routes()) {
-    trie::NodeIndex current = 0;
-    for (unsigned depth = 0; depth < route.prefix.length(); ++depth) {
-      const bool go_right = route.prefix.bit(depth);
-      trie::NodeIndex& child =
-          go_right ? nodes_[current].right : nodes_[current].left;
-      if (child == trie::kNullNode) {
-        child = static_cast<trie::NodeIndex>(nodes_.size());
-        nodes_.push_back(trie::TrieNode{});
-      }
-      current = go_right ? nodes_[current].right : nodes_[current].left;
-    }
-    nodes_[current].next_hop = route.next_hop;
-  }
-  canonicalize();
-}
-
-void UnibitTrie6::canonicalize() {
-  std::vector<trie::TrieNode> ordered;
-  ordered.reserve(nodes_.size());
-  std::vector<trie::NodeIndex> frontier{0};
-  level_offsets_.clear();
-  level_offsets_.push_back(0);
-  std::vector<trie::NodeIndex> remap(nodes_.size(), trie::kNullNode);
-  while (!frontier.empty()) {
-    std::vector<trie::NodeIndex> next;
-    for (const trie::NodeIndex old_index : frontier) {
-      remap[old_index] = static_cast<trie::NodeIndex>(ordered.size());
-      ordered.push_back(nodes_[old_index]);
-      if (nodes_[old_index].left != trie::kNullNode) {
-        next.push_back(nodes_[old_index].left);
-      }
-      if (nodes_[old_index].right != trie::kNullNode) {
-        next.push_back(nodes_[old_index].right);
-      }
-    }
-    level_offsets_.push_back(ordered.size());
-    frontier = std::move(next);
-  }
-  if (level_offsets_.size() >= 2 &&
-      level_offsets_.back() == level_offsets_[level_offsets_.size() - 2]) {
-    level_offsets_.pop_back();
-  }
-  for (trie::TrieNode& node : ordered) {
-    if (node.left != trie::kNullNode) node.left = remap[node.left];
-    if (node.right != trie::kNullNode) node.right = remap[node.right];
-  }
-  nodes_ = std::move(ordered);
-}
-
-std::optional<net::NextHop> UnibitTrie6::lookup(const Ipv6& addr) const {
+std::optional<net::NextHop> lookup(const trie::UnibitTrie& trie,
+                                   const Ipv6& addr) {
   std::optional<net::NextHop> best;
-  trie::NodeIndex current = 0;
+  trie::NodeIndex current = trie.root();
   for (unsigned depth = 0;; ++depth) {
-    const trie::TrieNode& node = nodes_[current];
+    const trie::TrieNode& node = trie.node(current);
     if (node.has_route()) best = node.next_hop;
     if (depth >= 128) break;
-    const trie::NodeIndex child =
-        addr.bit(depth) ? node.right : node.left;
+    const trie::NodeIndex child = addr.bit(depth) ? node.right : node.left;
     if (child == trie::kNullNode) break;
     current = child;
   }
   return best;
-}
-
-UnibitTrie6 UnibitTrie6::leaf_pushed() const {
-  UnibitTrie6 pushed;
-  pushed.nodes_.reserve(nodes_.size() * 2);
-  pushed.nodes_.push_back(trie::TrieNode{});
-  struct Frame {
-    trie::NodeIndex src;
-    trie::NodeIndex dst;
-    net::NextHop inherited;
-  };
-  std::vector<Frame> stack{{0, 0, net::kNoRoute}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    if (frame.src == trie::kNullNode) {
-      pushed.nodes_[frame.dst].next_hop = frame.inherited;
-      continue;
-    }
-    const trie::TrieNode& src = nodes_[frame.src];
-    const net::NextHop effective =
-        src.has_route() ? src.next_hop : frame.inherited;
-    if (src.is_leaf()) {
-      pushed.nodes_[frame.dst].next_hop = effective;
-      continue;
-    }
-    const auto left_dst =
-        static_cast<trie::NodeIndex>(pushed.nodes_.size());
-    pushed.nodes_.push_back(trie::TrieNode{});
-    const auto right_dst =
-        static_cast<trie::NodeIndex>(pushed.nodes_.size());
-    pushed.nodes_.push_back(trie::TrieNode{});
-    pushed.nodes_[frame.dst].left = left_dst;
-    pushed.nodes_[frame.dst].right = right_dst;
-    stack.push_back(Frame{src.left, left_dst, effective});
-    stack.push_back(Frame{src.right, right_dst, effective});
-  }
-  pushed.canonicalize();
-  return pushed;
-}
-
-trie::TrieStats UnibitTrie6::stats() const {
-  trie::TrieStats out;
-  out.total_nodes = nodes_.size();
-  out.height = height();
-  const std::size_t levels = level_count();
-  out.nodes_per_level.assign(levels, 0);
-  out.internal_per_level.assign(levels, 0);
-  out.leaves_per_level.assign(levels, 0);
-  for (std::size_t l = 0; l < levels; ++l) {
-    for (std::size_t i = level_offsets_[l]; i < level_offsets_[l + 1];
-         ++i) {
-      ++out.nodes_per_level[l];
-      if (nodes_[i].is_leaf()) {
-        ++out.leaves_per_level[l];
-      } else {
-        ++out.internal_per_level[l];
-      }
-    }
-    out.internal_nodes += out.internal_per_level[l];
-    out.leaf_nodes += out.leaves_per_level[l];
-  }
-  return out;
 }
 
 SyntheticTableGenerator6::SyntheticTableGenerator6(TableProfile6 profile)
@@ -162,6 +46,12 @@ SyntheticTableGenerator6::SyntheticTableGenerator6(TableProfile6 profile)
   VR_REQUIRE(profile_.prefix_count > 0, "prefix_count must be positive");
   VR_REQUIRE(profile_.provider_blocks > 0,
              "provider_blocks must be positive");
+  VR_REQUIRE(profile_.provider_block_length >= 3 &&
+                 profile_.provider_block_length <= 64,
+             "provider_block_length must be in [3, 64]");
+  VR_REQUIRE(profile_.provider_blocks <=
+                 (std::uint64_t{1} << (profile_.provider_block_length - 3)),
+             "more provider_blocks than distinct blocks under 2000::/3");
   VR_REQUIRE(!profile_.length_weights.empty(), "length_weights empty");
   VR_REQUIRE(profile_.min_length >= profile_.provider_block_length,
              "prefixes must be at least as long as their provider block");

@@ -36,8 +36,8 @@ FlatMultibitTrie::FlatMultibitTrie(unsigned stride, std::size_t vn_count)
       slot_mask_((1u << stride) - 1u),
       width_(std::size_t{1} << stride),
       vn_count_(vn_count) {
-  VR_REQUIRE(stride == 2 || stride == 4 || stride == 8,
-             "flat multibit stride must be 2, 4 or 8");
+  VR_REQUIRE(stride == 1 || stride == 2 || stride == 4 || stride == 8,
+             "flat multibit stride must be 1, 2, 4 or 8");
   VR_REQUIRE(vn_count_ >= 1, "flat multibit trie needs at least one VN");
   VR_REQUIRE(vn_count_ <= 0xffffu, "VN count exceeds the VNID width");
 }
@@ -71,10 +71,9 @@ struct FlatMultibitTrie::Builder {
                            slot];
   }
 
-  /// Inserts one route of virtual network `vn` — the same descent and
-  /// controlled-prefix-expansion rules as MultibitTrie::insert, applied to
-  /// the VN's own lane of the K-wide next-hop vectors. Structural nodes
-  /// are shared across VNs (a node exists wherever any VN needs one).
+  /// Inserts one route of virtual network `vn` into the VN's own lane of
+  /// the K-wide next-hop vectors. Structural nodes are shared across VNs
+  /// (a node exists wherever any VN needs one).
   void insert(net::VnId vn, const net::Route& route) {
     const unsigned stride = image.stride_;
     const unsigned length = route.prefix.length();
@@ -118,15 +117,9 @@ struct FlatMultibitTrie::Builder {
 
 FlatMultibitTrie::FlatMultibitTrie(const net::RoutingTable& table,
                                    unsigned stride)
-    : FlatMultibitTrie(stride, 1) {
-  Builder builder(stride, 1);
-  for (const net::Route& route : table.routes()) {
-    builder.insert(0, route);
-  }
-  children_ = std::move(builder.image.children_);
-  next_hops_ = std::move(builder.image.next_hops_);
-  level_count_ = builder.level_count;
-}
+    : FlatMultibitTrie(std::span<const net::RoutingTable* const>(
+                           std::array<const net::RoutingTable*, 1>{&table}),
+                       stride) {}
 
 FlatMultibitTrie::FlatMultibitTrie(
     std::span<const net::RoutingTable* const> tables, unsigned stride)
@@ -141,24 +134,6 @@ FlatMultibitTrie::FlatMultibitTrie(
   children_ = std::move(builder.image.children_);
   next_hops_ = std::move(builder.image.next_hops_);
   level_count_ = builder.level_count;
-}
-
-FlatMultibitTrie::FlatMultibitTrie(const MultibitTrie& trie)
-    : FlatMultibitTrie(trie.stride(), 1) {
-  const std::size_t nodes = trie.node_count();
-  VR_REQUIRE(nodes <= kMaxNodeCount,
-             "multibit trie node count exceeds what NodeIndex can address");
-  children_.reserve(nodes * width_);
-  next_hops_.reserve(nodes * width_);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    // narrow-ok: n < nodes <= kMaxNodeCount (VR_REQUIRE above the loop)
-    const auto index = static_cast<NodeIndex>(n);
-    for (std::size_t slot = 0; slot < width_; ++slot) {
-      children_.push_back(trie.entry_child(index, slot));
-      next_hops_.push_back(trie.entry_next_hop(index, slot));
-    }
-  }
-  level_count_ = trie.level_count();
 }
 
 /// Emits a single-VN image node by node in depth-first order: a node is
@@ -250,6 +225,33 @@ FlatMultibitTrie FlatMultibitTrie::patched(
   }
   patcher.emit(0, 0, 0);
   return next;
+}
+
+std::vector<std::size_t> FlatMultibitTrie::level_node_counts() const {
+  std::vector<std::size_t> counts;
+  std::vector<NodeIndex> level{0};
+  std::vector<NodeIndex> next;
+  while (!level.empty()) {
+    counts.push_back(level.size());
+    next.clear();
+    for (const NodeIndex node : level) {
+      for (std::size_t slot = 0; slot < width_; ++slot) {
+        if (child(node, slot) != kNullNode) next.push_back(child(node, slot));
+      }
+    }
+    level.swap(next);
+  }
+  return counts;
+}
+
+std::vector<std::uint64_t> FlatMultibitTrie::level_memory_bits(
+    unsigned pointer_bits, unsigned nhi_bits) const {
+  std::vector<std::uint64_t> bits;
+  for (const std::size_t nodes : level_node_counts()) {
+    bits.push_back(std::uint64_t{nodes} * width_ *
+                   entry_bits(pointer_bits, nhi_bits));
+  }
+  return bits;
 }
 
 net::NextHop FlatMultibitTrie::lookup_raw(std::uint32_t addr,

@@ -1,10 +1,13 @@
-// Flat stride-k multibit lookup image — the line-rate end of the software
-// lookup path. Where FlatTrie consumes one address bit per pointer chase
-// (up to 33 dependent memory accesses per lookup), a stride-k image
-// consumes k bits per level, so a full /32 walk needs only 32/k dependent
-// accesses (4 for k = 8) at the price of controlled prefix expansion
-// (each node stores 2^k entries, mirroring trie::MultibitTrie and the
-// hardware-side stride ablation).
+// Flat stride-k multibit lookup image — the fixed-stride trie of the
+// paper's reference [16] (Ruiz-Sanchez et al., "Survey and taxonomy of IP
+// address lookup algorithms") and the line-rate end of the software lookup
+// path. Where FlatTrie consumes one address bit per pointer chase (up to
+// 33 dependent memory accesses per lookup), a stride-k image consumes k
+// bits per level, so a full /32 walk needs only 32/k dependent accesses
+// (4 for k = 8) at the price of controlled prefix expansion (each node
+// stores 2^k entries, and prefixes are expanded to stride boundaries).
+// The same image prices the hardware-side tradeoff: a stride-k pipeline
+// needs one stage per level (`ablation_stride`).
 //
 // The image is a structure of arrays shared by every consumer kind the
 // unibit FlatTrie serves: scalar `lookup` (verified against the
@@ -29,7 +32,6 @@
 
 #include "netbase/routing_table.hpp"
 #include "netbase/traffic.hpp"
-#include "trie/multibit_trie.hpp"
 #include "trie/unibit_trie.hpp"
 
 namespace vr::trie {
@@ -47,11 +49,8 @@ class FlatMultibitTrie {
   };
 
   /// Builds a single-VN stride-k image straight from a routing table
-  /// (k in {2, 4, 8}; stride 1 is FlatTrie's domain).
+  /// (k in {1, 2, 4, 8}, the strides that divide 32 evenly).
   FlatMultibitTrie(const net::RoutingTable& table, unsigned stride);
-
-  /// Flattens an existing MultibitTrie (same stride, single VN).
-  explicit FlatMultibitTrie(const MultibitTrie& trie);
 
   /// Builds a K-way merged stride-k image: `tables[v]` is the routing
   /// table of virtual network v. All pointers non-null, K >= 1.
@@ -94,6 +93,9 @@ class FlatMultibitTrie {
   [[nodiscard]] std::size_t max_level_count() const noexcept {
     return 32u / stride_;
   }
+  /// Nodes per level, root level first (level_count() entries), counted
+  /// by a breadth-first walk of the image.
+  [[nodiscard]] std::vector<std::size_t> level_node_counts() const;
 
   /// Child pointer of entry `slot` of node `n` (kNullNode when none).
   [[nodiscard]] NodeIndex child(NodeIndex n, std::size_t slot)
@@ -129,20 +131,28 @@ class FlatMultibitTrie {
   [[nodiscard]] std::vector<net::NextHop> lookup_batch(
       std::span<const net::Packet> packets) const;
 
-  /// Memory footprint in bits under the same per-entry encoding as
-  /// MultibitTrie::memory_bits.
+  /// Memory footprint in bits: every entry stores a child pointer plus
+  /// one next hop per VN (`pointer_bits` + vn_count x `nhi_bits` wide).
   [[nodiscard]] std::uint64_t memory_bits(unsigned pointer_bits = 18,
                                           unsigned nhi_bits = 8) const
       noexcept {
-    return std::uint64_t{entry_count()} *
-           (pointer_bits + nhi_bits * vn_count_);
+    return std::uint64_t{entry_count()} * entry_bits(pointer_bits, nhi_bits);
   }
+
+  /// memory_bits() per level (for stage-mapped power evaluation).
+  [[nodiscard]] std::vector<std::uint64_t> level_memory_bits(
+      unsigned pointer_bits = 18, unsigned nhi_bits = 8) const;
 
  private:
   struct Builder;
   struct Patcher;
 
   FlatMultibitTrie(unsigned stride, std::size_t vn_count);
+
+  [[nodiscard]] std::uint64_t entry_bits(unsigned pointer_bits,
+                                         unsigned nhi_bits) const noexcept {
+    return pointer_bits + std::uint64_t{nhi_bits} * vn_count_;
+  }
 
   [[nodiscard]] net::NextHop lookup_raw(std::uint32_t addr,
                                         net::VnId vn) const noexcept;

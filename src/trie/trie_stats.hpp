@@ -29,7 +29,33 @@ struct TrieStats {
   }
 };
 
-/// Computes statistics in one pass over the (level-ordered) node array.
-[[nodiscard]] TrieStats compute_stats(const UnibitTrie& trie);
+/// Computes statistics in one pass over a level-ordered trie: one with
+/// node_count(), height(), level_count() and level(l), a span of the nodes
+/// of level l that answer is_leaf() — UnibitTrie (of any key width) and
+/// virt::MergedTrie.
+template <typename LevelOrderedTrie>
+[[nodiscard]] TrieStats compute_stats(const LevelOrderedTrie& trie) {
+  TrieStats stats;
+  stats.total_nodes = trie.node_count();
+  stats.height = trie.height();
+  const std::size_t levels = trie.level_count();
+  stats.nodes_per_level.assign(levels, 0);
+  stats.internal_per_level.assign(levels, 0);
+  stats.leaves_per_level.assign(levels, 0);
+  for (std::size_t l = 0; l < levels; ++l) {
+    const auto level = trie.level(l);
+    stats.nodes_per_level[l] = level.size();
+    for (const auto& node : level) {
+      if (node.is_leaf()) {
+        ++stats.leaves_per_level[l];
+      } else {
+        ++stats.internal_per_level[l];
+      }
+    }
+    stats.internal_nodes += stats.internal_per_level[l];
+    stats.leaf_nodes += stats.leaves_per_level[l];
+  }
+  return stats;
+}
 
 }  // namespace vr::trie

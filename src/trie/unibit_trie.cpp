@@ -8,23 +8,14 @@
 
 namespace vr::trie {
 
-UnibitTrie::UnibitTrie(const net::RoutingTable& table) {
-  nodes_.push_back(TrieNode{});  // root
-  for (const net::Route& route : table.routes()) {
-    NodeIndex current = 0;
-    for (unsigned depth = 0; depth < route.prefix.length(); ++depth) {
-      const bool go_right = route.prefix.bit(depth);
-      NodeIndex& child =
-          go_right ? nodes_[current].right : nodes_[current].left;
-      if (child == kNullNode) {
-        child = checked_node_index(nodes_.size(), "unibit trie");
-        nodes_.push_back(TrieNode{});
-      }
-      current = go_right ? nodes_[current].right : nodes_[current].left;
-    }
-    nodes_[current].next_hop = route.next_hop;
+NodeIndex UnibitTrie::child_or_new(NodeIndex parent, bool right) {
+  NodeIndex child = right ? nodes_[parent].right : nodes_[parent].left;
+  if (child == kNullNode) {
+    child = checked_node_index(nodes_.size(), "unibit trie");
+    nodes_.push_back(TrieNode{});
+    (right ? nodes_[parent].right : nodes_[parent].left) = child;
   }
-  canonicalize();
+  return child;
 }
 
 void UnibitTrie::canonicalize() {

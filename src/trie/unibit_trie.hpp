@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cassert>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -59,17 +60,40 @@ struct TrieNode {
   }
 };
 
+/// A routing table of any key width the trie can be built from:
+/// `routes()` yields routes with `prefix.length()`, `prefix.bit(d)` (bit d,
+/// most significant first) and `next_hop` — net::RoutingTable and
+/// ipv6::RoutingTable6 both qualify.
+template <typename Table>
+concept PrefixTable = requires(const Table& table) {
+  { table.routes().front().prefix.length() } -> std::convertible_to<unsigned>;
+  { table.routes().front().prefix.bit(0u) } -> std::convertible_to<bool>;
+  { table.routes().front().next_hop } -> std::convertible_to<net::NextHop>;
+};
+
 /// An immutable uni-bit trie built from a routing table. Always contains at
 /// least the root node. Supports longest-prefix-match lookup and leaf
 /// pushing (Sec. V-D; [16] in the paper).
 class UnibitTrie {
  public:
-  /// Builds the trie of a routing table. The node vector is stored in
-  /// breadth-first (level) order: all level-0 nodes, then level-1, ...
-  explicit UnibitTrie(const net::RoutingTable& table);
+  /// Builds the trie of a routing table, one level per prefix bit. The
+  /// node vector is stored in breadth-first (level) order: all level-0
+  /// nodes, then level-1, ...
+  template <PrefixTable Table>
+  explicit UnibitTrie(const Table& table) : nodes_(1) {
+    for (const auto& route : table.routes()) {
+      NodeIndex current = 0;
+      for (unsigned depth = 0; depth < route.prefix.length(); ++depth) {
+        current = child_or_new(current, route.prefix.bit(depth));
+      }
+      nodes_[current].next_hop = route.next_hop;
+    }
+    canonicalize();
+  }
 
   /// Longest-prefix match: next hop of the most specific route covering
-  /// `addr`, or nullopt. Runs on the flat SoA view.
+  /// `addr`, or nullopt. Runs on the flat SoA view. For IPv4 tries only;
+  /// an IPv6 trie is walked by ipv6::lookup.
   [[nodiscard]] std::optional<net::NextHop> lookup(net::Ipv4 addr) const;
 
   /// Batched longest-prefix match: one entry per address, net::kNoRoute
@@ -138,6 +162,10 @@ class UnibitTrie {
 
  private:
   UnibitTrie() = default;
+
+  /// The `right` (else left) child of `parent`, appended as a fresh node
+  /// when absent.
+  NodeIndex child_or_new(NodeIndex parent, bool right);
 
   /// Re-canonicalizes `nodes_` into breadth-first order, rebuilds
   /// level_offsets_ and refreshes the flat SoA view.

@@ -128,27 +128,7 @@ std::span<const MergedNode> MergedTrie::level(std::size_t l) const {
 }
 
 trie::TrieStats MergedTrie::stats_as_trie() const {
-  trie::TrieStats stats;
-  stats.total_nodes = nodes_.size();
-  stats.height = height();
-  const std::size_t levels = level_count();
-  stats.nodes_per_level.assign(levels, 0);
-  stats.internal_per_level.assign(levels, 0);
-  stats.leaves_per_level.assign(levels, 0);
-  for (std::size_t l = 0; l < levels; ++l) {
-    const auto lvl = level(l);
-    stats.nodes_per_level[l] = lvl.size();
-    for (const MergedNode& node : lvl) {
-      if (node.is_leaf()) {
-        ++stats.leaves_per_level[l];
-      } else {
-        ++stats.internal_per_level[l];
-      }
-    }
-    stats.internal_nodes += stats.internal_per_level[l];
-    stats.leaf_nodes += stats.leaves_per_level[l];
-  }
-  return stats;
+  return trie::compute_stats(*this);
 }
 
 }  // namespace vr::virt

@@ -115,8 +115,8 @@ class MergedTrie {
   [[nodiscard]] std::span<const MergedNode> level(std::size_t l) const;
 
   /// Per-level structural statistics in the same shape as a single trie's
-  /// (leaves carry K-wide NHI vectors, which the memory layer accounts for
-  /// via its vn_count parameter).
+  /// (trie::compute_stats of this trie; leaves carry K-wide NHI vectors,
+  /// which the memory layer accounts for via its vn_count parameter).
   [[nodiscard]] trie::TrieStats stats_as_trie() const;
 
  private:

@@ -1,8 +1,10 @@
-// Differential verification of the flat stride-k multibit lookup image:
+// Verification of the flat stride-k multibit lookup image: hand-checked
+// controlled prefix expansion and the structural tradeoffs the stride
+// ablation prices (levels, nodes, memory), then differential checks that
 // every consumer path (scalar lookup, prefetch-pipelined batch, the
-// pipeline simulator's stride-aware TrieView) must return exactly what the
+// pipeline simulator's stride-aware TrieView) returns exactly what the
 // UnibitTrie oracle returns over the same table, for every stride. Also
-// pins the NodeIndex narrowing guard introduced with the flatteners.
+// pins the NodeIndex narrowing guard of the flat images.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,7 +14,6 @@
 #include "netbase/table_gen.hpp"
 #include "pipeline/lookup_engine.hpp"
 #include "trie/flat_multibit_trie.hpp"
-#include "trie/multibit_trie.hpp"
 #include "trie/unibit_trie.hpp"
 
 namespace vr::trie {
@@ -51,7 +52,6 @@ std::vector<Ipv4> random_addrs(std::size_t count, std::uint64_t seed) {
 TEST(FlatMultibitTrieTest, RejectsBadStride) {
   const RoutingTable table = gen_table(1, 50);
   EXPECT_DEATH(FlatMultibitTrie(table, 0), "stride");
-  EXPECT_DEATH(FlatMultibitTrie(table, 1), "stride");
   EXPECT_DEATH(FlatMultibitTrie(table, 3), "stride");
   EXPECT_DEATH(FlatMultibitTrie(table, 16), "stride");
 }
@@ -85,13 +85,114 @@ TEST(FlatMultibitTrieTest, HostRouteExactMatch) {
   RoutingTable table;
   table.add(*Prefix::parse("192.168.1.77/32"), 9);
   table.add(*Prefix::parse("192.168.1.76/32"), 5);
-  for (const unsigned stride : {2u, 4u, 8u}) {
+  for (const unsigned stride : {1u, 2u, 4u, 8u}) {
     const FlatMultibitTrie flat(table, stride);
     EXPECT_EQ(flat.lookup(Ipv4(192, 168, 1, 77)), 9) << stride;
     EXPECT_EQ(flat.lookup(Ipv4(192, 168, 1, 76)), 5) << stride;
     EXPECT_EQ(flat.lookup(Ipv4(192, 168, 1, 78)), std::nullopt) << stride;
     EXPECT_EQ(flat.level_count(), flat.max_level_count()) << stride;
   }
+}
+
+// Controlled-prefix-expansion semantics and the level/node/memory shape
+// of stride-k tries.
+
+TEST(MultibitTrieTest, HandCheckedStride2) {
+  RoutingTable table;
+  table.add(*Prefix::parse("0.0.0.0/1"), 1);    // expands to entries 00,01
+  table.add(*Prefix::parse("192.0.0.0/2"), 2);  // entry 11
+  const FlatMultibitTrie trie(table, 2);
+  EXPECT_EQ(trie.node_count(), 1u);  // everything fits in the root
+  EXPECT_EQ(trie.lookup(Ipv4(0x00, 0, 0, 0)), 1);
+  EXPECT_EQ(trie.lookup(Ipv4(0x40, 0, 0, 0)), 1);
+  EXPECT_EQ(trie.lookup(Ipv4(0x80, 0, 0, 0)), std::nullopt);  // 10
+  EXPECT_EQ(trie.lookup(Ipv4(0xc0, 0, 0, 0)), 2);
+}
+
+TEST(MultibitTrieTest, ExpansionPrefersLongerPrefix) {
+  RoutingTable table;
+  table.add(*Prefix::parse("0.0.0.0/1"), 1);  // covers 00 and 01 at stride 2
+  table.add(*Prefix::parse("0.0.0.0/2"), 2);  // covers 00 exactly
+  const FlatMultibitTrie trie(table, 2);
+  EXPECT_EQ(trie.lookup(Ipv4(0x00, 0, 0, 0)), 2);
+  EXPECT_EQ(trie.lookup(Ipv4(0x40, 0, 0, 0)), 1);
+}
+
+TEST(MultibitTrieTest, DefaultRouteCoversEverything) {
+  RoutingTable table;
+  table.add(*Prefix::parse("0.0.0.0/0"), 7);
+  table.add(*Prefix::parse("10.0.0.0/8"), 3);
+  const FlatMultibitTrie trie(table, 4);
+  EXPECT_EQ(trie.lookup(Ipv4(10, 1, 1, 1)), 3);
+  EXPECT_EQ(trie.lookup(Ipv4(200, 1, 1, 1)), 7);
+}
+
+class MultibitLookupProperty
+    : public ::testing::TestWithParam<unsigned /*stride*/> {};
+
+TEST_P(MultibitLookupProperty, MatchesUnibitAndOracle) {
+  const RoutingTable table = gen_table(GetParam() + 10);
+  const FlatMultibitTrie multibit(table, GetParam());
+  const UnibitTrie unibit(table);
+  Rng rng(GetParam());
+  for (int i = 0; i < 3000; ++i) {
+    const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
+    const auto expected = unibit.lookup(addr);
+    EXPECT_EQ(multibit.lookup(addr), expected);
+    if (i % 10 == 0) {
+      EXPECT_EQ(multibit.lookup(addr), table.lookup(addr));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Strides, MultibitLookupProperty,
+                         ::testing::Values(1u, 2u, 4u, 8u));
+
+TEST(MultibitTrieTest, LevelCountShrinksWithStride) {
+  const RoutingTable table = gen_table(20);
+  std::size_t prev = 64;
+  for (const unsigned stride : {1u, 2u, 4u, 8u}) {
+    const FlatMultibitTrie trie(table, stride);
+    EXPECT_LT(trie.level_count(), prev);
+    EXPECT_LE(trie.level_count(), 32u / stride);
+    prev = trie.level_count();
+  }
+}
+
+TEST(MultibitTrieTest, MemoryGrowsWithStride) {
+  const RoutingTable table = gen_table(21);
+  std::uint64_t prev = 0;
+  for (const unsigned stride : {1u, 2u, 4u, 8u}) {
+    const FlatMultibitTrie trie(table, stride);
+    const std::uint64_t bits = trie.memory_bits();
+    if (stride >= 4) {
+      EXPECT_GT(bits, prev);  // expansion dominates beyond stride 2
+    }
+    prev = bits;
+  }
+}
+
+TEST(MultibitTrieTest, LevelMemorySumsToTotal) {
+  const RoutingTable table = gen_table(22);
+  const FlatMultibitTrie trie(table, 4);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t bits : trie.level_memory_bits()) sum += bits;
+  EXPECT_EQ(sum, trie.memory_bits());
+  const std::vector<std::size_t> counts = trie.level_node_counts();
+  EXPECT_EQ(counts.size(), trie.level_count());
+  std::size_t node_sum = 0;
+  for (const std::size_t n : counts) node_sum += n;
+  EXPECT_EQ(node_sum, trie.node_count());
+}
+
+TEST(MultibitTrieTest, Stride1MatchesUnibitNodeCount) {
+  // A stride-1 multibit trie without leaf pushing has one 2-entry node
+  // per INTERNAL unibit node (leaves collapse into their parents'
+  // entries).
+  RoutingTable table;
+  table.add(*Prefix::parse("10.0.0.0/8"), 1);
+  const FlatMultibitTrie multibit(table, 1);
+  EXPECT_EQ(multibit.node_count(), 8u);  // internal chain of the /8 path
 }
 
 class FlatMultibitDifferential
@@ -123,24 +224,6 @@ TEST_P(FlatMultibitDifferential, BatchMatchesScalar) {
       const auto scalar = flat.lookup(addrs[i]);
       EXPECT_EQ(batch[i], scalar.value_or(net::kNoRoute)) << i;
     }
-  }
-}
-
-TEST_P(FlatMultibitDifferential, FlattenedMultibitTrieIsIdentical) {
-  const unsigned stride = GetParam();
-  const RoutingTable table = gen_table(stride + 42);
-  const MultibitTrie source(table, stride);
-  const FlatMultibitTrie flattened(source);
-  const FlatMultibitTrie direct(table, stride);
-  EXPECT_EQ(flattened.node_count(), source.node_count());
-  EXPECT_EQ(flattened.level_count(), source.level_count());
-  EXPECT_EQ(flattened.node_count(), direct.node_count());
-  Rng rng(stride + 7);
-  for (int i = 0; i < 2000; ++i) {
-    const Ipv4 addr(static_cast<std::uint32_t>(rng.next_u64()));
-    const auto expected = source.lookup(addr);
-    EXPECT_EQ(flattened.lookup(addr), expected);
-    EXPECT_EQ(direct.lookup(addr), expected);
   }
 }
 
@@ -177,7 +260,7 @@ TEST_P(FlatMultibitDifferential, MergedImageMatchesPerVnOracles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Strides, FlatMultibitDifferential,
-                         ::testing::Values(2u, 4u, 8u));
+                         ::testing::Values(1u, 2u, 4u, 8u));
 
 TEST(FlatMultibitPipelineTest, EngineMatchesScalarLookups) {
   const RoutingTable table = gen_table(77);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "ipv6/ipv6_trie.hpp"
+#include "trie/trie_stats.hpp"
 
 namespace vr::ipv6 {
 namespace {
@@ -135,6 +138,45 @@ TEST(TableGen6Test, AddressesInGlobalUnicast) {
   }
 }
 
+TEST(TableGen6Test, RejectsMoreBlocksThanFit) {
+  // A /4 block length leaves one free bit under 2000::/3: two blocks.
+  TableProfile6 profile;
+  profile.provider_block_length = 4;
+  profile.provider_blocks = 3;
+  EXPECT_DEATH(SyntheticTableGenerator6{profile}, "provider_blocks");
+}
+
+TEST(TableGen6Test, RejectsBlockLengthOutsideFirstWord) {
+  for (const unsigned length : {0u, 2u, 65u, 100u}) {
+    TableProfile6 profile;
+    profile.provider_block_length = length;
+    profile.min_length = std::max(length, 40u);
+    profile.length_weights = {1.0};
+    EXPECT_DEATH(SyntheticTableGenerator6{profile}, "provider_block_length")
+        << length;
+  }
+}
+
+TEST(TableGen6Test, ExtremeBlockLengthsGenerate) {
+  TableProfile6 shortest;  // the single block 2000::/3
+  shortest.provider_block_length = 3;
+  shortest.provider_blocks = 1;
+  shortest.prefix_count = 50;
+  EXPECT_EQ(SyntheticTableGenerator6(shortest).generate(1).size(), 50u);
+
+  TableProfile6 longest;  // six /64 blocks, each its own only prefix
+  longest.provider_block_length = 64;
+  longest.min_length = 64;
+  longest.length_weights = {1.0};
+  longest.prefix_count = 6;
+  const RoutingTable6 table = SyntheticTableGenerator6(longest).generate(2);
+  EXPECT_EQ(table.size(), 6u);
+  for (const Route6& route : table.routes()) {
+    EXPECT_EQ(route.prefix.length(), 64u);
+    EXPECT_EQ(route.prefix.address().hi() >> 61, 1u);  // 2000::/3
+  }
+}
+
 // ----------------------------------------------------------------- trie --
 
 class Ipv6TrieProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -144,7 +186,7 @@ TEST_P(Ipv6TrieProperty, LookupMatchesOracle) {
   profile.prefix_count = 400;
   const SyntheticTableGenerator6 gen(profile);
   const RoutingTable6 table = gen.generate(GetParam());
-  const UnibitTrie6 trie(table);
+  const trie::UnibitTrie trie(table);
   Rng rng(GetParam());
   for (int i = 0; i < 1000; ++i) {
     // Half random addresses, half in-table.
@@ -160,7 +202,7 @@ TEST_P(Ipv6TrieProperty, LookupMatchesOracle) {
                                           : rng.next_below(
                                                 std::uint64_t{1} << host)));
     }
-    EXPECT_EQ(trie.lookup(addr), table.lookup(addr));
+    EXPECT_EQ(lookup(trie, addr), table.lookup(addr));
   }
 }
 
@@ -169,14 +211,14 @@ TEST_P(Ipv6TrieProperty, LeafPushPreservesLookups) {
   profile.prefix_count = 250;
   const SyntheticTableGenerator6 gen(profile);
   const RoutingTable6 table = gen.generate(GetParam() + 30);
-  const UnibitTrie6 raw(table);
-  const UnibitTrie6 pushed = raw.leaf_pushed();
-  const trie::TrieStats stats = pushed.stats();
+  const trie::UnibitTrie raw(table);
+  const trie::UnibitTrie pushed = raw.leaf_pushed();
+  const trie::TrieStats stats = trie::compute_stats(pushed);
   EXPECT_EQ(stats.total_nodes, 2 * stats.internal_nodes + 1);
   Rng rng(GetParam());
   for (int i = 0; i < 1000; ++i) {
     const Ipv6 addr(rng.next_u64(), rng.next_u64());
-    EXPECT_EQ(pushed.lookup(addr), raw.lookup(addr));
+    EXPECT_EQ(lookup(pushed, addr), lookup(raw, addr));
   }
 }
 
@@ -187,10 +229,10 @@ TEST(Ipv6TrieTest, HeightBoundedByMaxLength) {
   TableProfile6 profile;
   profile.prefix_count = 300;
   const SyntheticTableGenerator6 gen(profile);
-  const UnibitTrie6 trie(gen.generate(9));
+  const trie::UnibitTrie trie(gen.generate(9));
   EXPECT_LE(trie.height(), 64u);
   EXPECT_GT(trie.height(), 40u);
-  const trie::TrieStats stats = trie.stats();
+  const trie::TrieStats stats = trie::compute_stats(trie);
   EXPECT_EQ(stats.total_nodes, trie.node_count());
 }
 

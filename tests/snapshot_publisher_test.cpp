@@ -1,6 +1,6 @@
 // SnapshotPublisher: correctness of the published images (every snapshot
 // equals a from-scratch build of the control-plane table at that epoch,
-// node for node, at strides 2, 4 and 8), version/staleness accounting, and
+// node for node, at strides 1, 2, 4 and 8), version/staleness accounting, and
 // a reader/updater stress test that a thread-sanitizer build
 // (VR_SANITIZE=thread) checks for races.
 #include <gtest/gtest.h>
@@ -319,7 +319,7 @@ TEST_P(PatchedImageTest, ChurnCycleAndUndoGiveBackVersionZero) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Strides, PatchedImageTest, ::testing::Values(2u, 4u, 8u),
+    Strides, PatchedImageTest, ::testing::Values(1u, 2u, 4u, 8u),
     [](const ::testing::TestParamInfo<unsigned>& param_info) {
       return "Stride" + std::to_string(param_info.param);
     });

@@ -3,7 +3,7 @@
 # The thread-pool (SweepRunner), shared-cache (WorkloadCache) and
 # flat-trie hot-path code must stay clean under every mode.
 #
-# Usage: tools/sanitize_check.sh [asan|ubsan|tsan] [build-dir] [ctest-regex]
+# Usage: tools/sanitize_check.sh [asan|ubsan|asan+ubsan|tsan] [build-dir] [ctest-regex]
 #   mode         asan  -> -fsanitize=address (+ leak detection)
 #                ubsan -> -fsanitize=undefined
 #                tsan  -> -fsanitize=thread (cannot combine with asan)
@@ -27,7 +27,7 @@ case "${mode}" in
   asan+ubsan) sanitize="address,undefined" ;;
   *)
     echo "sanitize_check: unknown mode '${mode}'" >&2
-    echo "usage: $0 [asan|ubsan|tsan] [build-dir] [ctest-regex]" >&2
+    echo "usage: $0 [asan|ubsan|asan+ubsan|tsan] [build-dir] [ctest-regex]" >&2
     exit 2
     ;;
 esac
