@@ -9,12 +9,14 @@
 
 #include <cstdlib>
 #include <memory>
+#include <span>
 
 #include "common/rng.hpp"
 #include "netbase/table_gen.hpp"
 #include "pipeline/lookup_engine.hpp"
 #include "trie/flat_multibit_trie.hpp"
 #include "trie/unibit_trie.hpp"
+#include "trie/updatable_trie.hpp"
 
 namespace vr::trie {
 namespace {
@@ -96,6 +98,18 @@ TEST(FlatMultibitTrieTest, HostRouteExactMatch) {
 
 // Controlled-prefix-expansion semantics and the level/node/memory shape
 // of stride-k tries.
+
+// The K-way merged and control-plane builds share the single-table
+// build's stride guard.
+TEST(MultibitTrieTest, RejectsBadStride) {
+  const RoutingTable table = gen_table(1, 50);
+  const RoutingTable* tables[] = {&table, &table};
+  const UpdatableTrie control(table);
+  for (const unsigned stride : {0u, 3u, 16u}) {
+    EXPECT_DEATH(FlatMultibitTrie(std::span(tables), stride), "stride");
+    EXPECT_DEATH(FlatMultibitTrie(control, stride), "stride");
+  }
+}
 
 TEST(MultibitTrieTest, HandCheckedStride2) {
   RoutingTable table;
